@@ -2329,6 +2329,18 @@ let store () =
 (* INCR — delta-driven incremental re-lint after a 1-node edit         *)
 (* ------------------------------------------------------------------ *)
 
+(* Provenance of a committed bench file: the host's core count and the
+   commit the program was built from ("-dirty" when the tree had
+   uncommitted changes, "unknown" outside a git checkout). *)
+let commit_stamp () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when String.trim line <> "" -> String.trim line
+      | _ -> "unknown")
+
 (* BENCH_incr.json: wall-clock of the full recompute a non-incremental
    engine pays after any edit vs the delta-driven re-lint after a
    1-node edit, the equivalence verdict, and the delta.* plan counters.
@@ -2340,6 +2352,10 @@ let emit_incr_json ~path ~n ~sources ~edits ~cold_ns ~incr_ns ~speedup
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc "{\n  \"benchmark\": \"incr\",\n";
+      output_string oc
+        (Printf.sprintf "  \"cores\": %d,\n  \"commit\": %S,\n"
+           (Domain.recommended_domain_count ())
+           (commit_stamp ()));
       output_string oc
         (Printf.sprintf "  \"n\": %d,\n  \"sources\": %d,\n  \"edits\": %d,\n"
            n sources edits);

@@ -107,7 +107,12 @@ let keep_enabled enabled diags =
    the pass can observe (or in an unknown way), and retained when the
    impact analysis certifies the change invisible — which is how those
    memo entries survive local edits elsewhere in the workspace. *)
-let consistency_memo : (int * string * string option, Diagnostic.t list) Lru.t =
+(* Consistency entries keep the raw issues next to the diagnostics: an
+   edited part re-derives from its previous issues ([Consistency.recheck]). *)
+let consistency_memo :
+    ( int * string * string option,
+      Consistency.issue list * Diagnostic.t list )
+    Lru.t =
   Lru.create ~name:"lint.consistency" ~capacity:256 ()
 
 let conflict_memo : (int * int * string * string option, Diagnostic.t list) Lru.t
@@ -202,29 +207,73 @@ let parts_cost parts =
       lint_cost_per_elem *. float_of_int total
       /. float_of_int (List.length parts)
 
-(* The articulation-centric passes re-examine every source per item. *)
-let articulation_item_cost v =
-  lint_cost_per_elem
-  *. float_of_int
-       (List.fold_left (fun acc s -> acc + ontology_elems s.ontology) 1 v.sources)
+(* The sources an articulation's rules name.  Implication graphs are
+   built over qualified terms ("onto:name"), and ontology names contain
+   no ':', so a source's nodes can coincide with a rule term only when
+   the source is named by the part of the term's ontology before its
+   first ':' (the whole name in every well-formed term). *)
+let named_ontologies a =
+  Articulation.rules a.articulation
+  |> List.concat_map Rule.terms
+  |> List.map (fun (t : Term.t) ->
+         List.hd (String.split_on_char ':' t.Term.ontology))
+  |> List.sort_uniq String.compare
 
-let consistency_pass ~enabled ~cfg v =
+let named_sources v a =
+  let names = named_ontologies a in
+  List.filter (fun s -> List.mem (Ontology.name s.ontology) names) v.sources
+
+(* The articulation-centric passes read the sources their rules name. *)
+let articulation_item_cost v =
+  match v.articulations with
+  | [] -> 0.0
+  | arts ->
+      let elems a =
+        List.fold_left
+          (fun acc s -> acc + ontology_elems s.ontology)
+          1 (named_sources v a)
+      in
+      lint_cost_per_elem
+      *. float_of_int (List.fold_left (fun acc a -> acc + elems a) 0 arts)
+      /. float_of_int (List.length arts)
+
+(* [prior o] is [Some (before, before_file, delta)] when [o] is an edited
+   part on the incremental path: its pre-edit value, that value's file
+   attribution and a delta covering the edit.  The part then re-derives
+   from the memoized issues of [before] instead of re-checking whole. *)
+let consistency_pass ~enabled ~cfg ~prior v =
   Domain_pool.concat_map ~cost:(parts_cost (ontology_parts v))
     (fun (o, file, text) ->
-      Lru.find_or_compute consistency_memo (Ontology.revision o, cfg, file)
-        (fun () ->
-          Consistency.check ~strict:true o
-          |> List.map (fun (i : Consistency.issue) ->
-                 Diagnostic.v
-                   ~severity:
-                     (match i.Consistency.severity with
-                     | Consistency.Error -> Diagnostic.Error
-                     | Consistency.Warning -> Diagnostic.Warning)
-                   ?file
-                   ?span:(locate_subject text i.Consistency.subject)
-                   ~subject:i.Consistency.subject ~code:i.Consistency.code
-                   ~pass:"consistency" i.Consistency.message)
-          |> keep_enabled enabled))
+      snd
+      @@ Lru.find_or_compute consistency_memo (Ontology.revision o, cfg, file)
+           (fun () ->
+             let issues =
+               match prior o with
+               | Some (before, before_file, delta) -> (
+                   match
+                     Lru.find_opt consistency_memo
+                       (Ontology.revision before, cfg, before_file)
+                   with
+                   | Some (previous, _) ->
+                       Consistency.recheck ~strict:true ~before ~previous ~delta
+                         o
+                   | None -> Consistency.check ~strict:true o)
+               | None -> Consistency.check ~strict:true o
+             in
+             ( issues,
+               List.map
+                 (fun (i : Consistency.issue) ->
+                   Diagnostic.v
+                     ~severity:
+                       (match i.Consistency.severity with
+                       | Consistency.Error -> Diagnostic.Error
+                       | Consistency.Warning -> Diagnostic.Warning)
+                     ?file
+                     ?span:(locate_subject text i.Consistency.subject)
+                     ~subject:i.Consistency.subject ~code:i.Consistency.code
+                     ~pass:"consistency" i.Consistency.message)
+                 issues
+               |> keep_enabled enabled )))
     (ontology_parts v)
 
 (* ------------------------------------------------------------------ *)
@@ -232,7 +281,6 @@ let consistency_pass ~enabled ~cfg v =
 (* ------------------------------------------------------------------ *)
 
 let conflict_pass ~enabled ~cfg ~affect v =
-  let ontologies = List.map (fun s -> s.ontology) v.sources in
   let revs = source_revisions v in
   Domain_pool.concat_map ~cost:(articulation_item_cost v)
     (fun a ->
@@ -248,6 +296,7 @@ let conflict_pass ~enabled ~cfg ~affect v =
           (* The conversion-registry checks are the conversions pass's
              job (multi-probe, inverse coverage), so the point checker
              runs without a registry here. *)
+          let ontologies = List.map (fun s -> s.ontology) (named_sources v a) in
           Conflict.check ~ontologies (Articulation.rules art)
           |> List.map (fun (cf : Conflict.conflict) ->
                  let span =
@@ -438,8 +487,8 @@ let pattern_embeds p1 p2 =
 
 let shadowed_rule_diags v a =
   let rules = Articulation.rules a.articulation in
-  (* Implication graph over qualified terms: taxonomy + every atomic
-     Term => Term rule. *)
+  (* Implication graph over qualified terms: the taxonomy of the named
+     sources + every atomic Term => Term rule. *)
   let base =
     List.fold_left
       (fun g s ->
@@ -451,7 +500,7 @@ let shadowed_rule_diags v a =
             then Digraph.add_edge g e.Digraph.src "implies" e.Digraph.dst
             else g)
           (Ontology.qualify s.ontology) g)
-      Digraph.empty v.sources
+      Digraph.empty (named_sources v a)
   in
   let term_rules =
     List.filter_map
@@ -725,7 +774,7 @@ let conversions_pass ~enabled v =
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let drive ~enabled ~affect v =
+let drive ~enabled ~affect ~prior v =
   let cfg = cfg_fingerprint enabled in
   let timings = ref [] in
   let timed pass f =
@@ -737,7 +786,7 @@ let drive ~enabled ~affect v =
   in
   (* Explicit lets: list elements evaluate right-to-left, which would
      invert the pass order (and the timings). *)
-  let consistency = timed "consistency" (consistency_pass ~enabled ~cfg) in
+  let consistency = timed "consistency" (consistency_pass ~enabled ~cfg ~prior) in
   let conflict = timed "conflict" (conflict_pass ~enabled ~cfg ~affect) in
   let rules = timed "rules" (rules_pass ~enabled ~cfg ~affect) in
   let bridges = timed "bridges" (bridges_pass ~enabled ~cfg ~affect) in
@@ -753,7 +802,7 @@ let drive ~enabled ~affect v =
 
 let unknown ~pass:_ ~scope:_ = Unknown
 
-let run ?enabled v = drive ~enabled ~affect:unknown v
+let run ?enabled v = drive ~enabled ~affect:unknown ~prior:(fun _ -> None) v
 
 (* ------------------------------------------------------------------ *)
 (* Impact analysis                                                    *)
@@ -765,20 +814,34 @@ let run ?enabled v = drive ~enabled ~affect:unknown v
    qcheck equivalence harness exercises this against cold runs):
 
    - conflict: the checker reads the qualified subclass-of /
-     semantic-implication edges of every source (implication paths may
-     route through terms no rule names), plus the existence of each rule
-     term inside its attributed source.
+     semantic-implication edges of the sources the articulation's rules
+     name (implication paths may route through terms no rule names),
+     plus the existence of each rule term inside its attributed source.
    - rules: dead-rule feasibility reads label existence, per-label edge
      buckets and the degrees of pattern-labeled nodes — degrees only
      change at touched nodes, buckets only for touched labels; shadowed
-     rules additionally read the taxonomy edges; one-sided-variable
-     reads no source at all.
+     rules additionally read the taxonomy edges of the named sources;
+     one-sided-variable reads no source at all.
    - bridges: dangling-bridge only observes node existence in the
      endpoint's attributed source.
 
+   Why the named sources suffice: in both implication graphs (the
+   conflict checker's and the shadowed-rule pass's) every edge joins two
+   nodes qualified with the same source name, except the rule edges,
+   which join rule terms.  Source names contain no ':', so the nodes of a
+   source no rule names never coincide with a rule term: such a source
+   is a set of components disconnected from every rule term.  It can
+   reach no rule term, so its nodes never become a disjoint-overlap
+   subject and never lie on a path between two rule terms — dropping it
+   changes no finding.  A taxonomy edit in it is therefore invisible to
+   the articulation; one in a named source is not (e.g. a fresh leaf
+   under a concept that implies both sides of a Disjoint rule is a new
+   disjoint-overlap subject).
+
    Consistency and horn need no triggers: their memos key on the part's
-   own revision, so the edited part recomputes and every other part
-   answers from its table entry. *)
+   own revision, so the edited part recomputes (consistency only the
+   checks the delta can reach, see [consistency_pass]) and every other
+   part answers from its table entry. *)
 let tax_label l =
   String.equal l Rel.subclass_of || String.equal l Rel.semantic_implication
 
@@ -788,14 +851,15 @@ let impact_of ~delta ~changed v =
   let touched_term (t : Term.t) =
     in_changed t.Term.ontology && Delta.touches_node delta t.Term.name
   in
+  let tax_seen a = tax_changed && List.exists in_changed (named_ontologies a) in
   let conflict_affected a =
-    tax_changed
+    tax_seen a
     || List.exists
          (fun (r : Rule.t) -> List.exists touched_term (Rule.terms r))
          (Articulation.rules a.articulation)
   in
   let rules_affected a =
-    tax_changed
+    tax_seen a
     || List.exists
          (fun (r : Rule.t) ->
            List.exists
@@ -835,8 +899,21 @@ let impact_of ~delta ~changed v =
         ] ))
     v.articulations
 
-let lint_incremental ?enabled ~delta ~changed v =
+let lint_incremental ?enabled ~previous ~delta ~changed v =
   let impact = impact_of ~delta ~changed v in
+  let edited =
+    List.filter_map
+      (fun s ->
+        let name = Ontology.name s.ontology in
+        if not (List.mem name changed) then None
+        else
+          List.find_opt
+            (fun p -> String.equal (Ontology.name p.ontology) name)
+            previous.sources
+          |> Option.map (fun p -> (s.ontology, (p.ontology, p.file, delta))))
+      v.sources
+  in
+  let prior o = List.assq_opt o edited in
   let affect ~pass ~scope =
     match List.assoc_opt scope impact with
     | None -> Unknown
@@ -869,7 +946,7 @@ let lint_incremental ?enabled ~delta ~changed v =
   Cache_stats.record_plans "delta.passes_rerun"
     (rerun_cells + part_rerun + conv_cells);
   Cache_stats.record_plans "delta.passes_skipped" (skipped_cells + part_skipped);
-  drive ~enabled ~affect v
+  drive ~enabled ~affect ~prior v
 
 (* ------------------------------------------------------------------ *)
 (* Report document                                                    *)

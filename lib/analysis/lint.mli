@@ -68,22 +68,27 @@ val run : ?enabled:string list -> view -> report
 
 val lint_incremental :
   ?enabled:string list ->
+  previous:view ->
   delta:Delta.t ->
   changed:string list ->
   view ->
   report
-(** Delta-driven re-lint.  [view] must be the previous view with the
-    edited sources' ontologies replaced in place (unchanged parts must
-    be {e physically} the previous values, so their revision-keyed memo
+(** Delta-driven re-lint.  [view] must be [previous] with the edited
+    sources' ontologies replaced in place (unchanged parts must be
+    {e physically} the previous values, so their revision-keyed memo
     entries still apply); [changed] names the edited source ontologies
-    and [delta] summarizes the edits ({!Delta.union} of the per-source
-    deltas when several changed).
+    and [delta] summarizes the edits from [previous] ({!Delta.union} of
+    the per-source deltas when several changed).
 
     The impact analysis maps the changed region to the (pass x scope)
     cells that can possibly produce different diagnostics: affected
     cells get a fresh scope stamp (forced recompute), provably
     unaffected cells retain their stamp with refreshed source revisions
-    and answer from the existing memo entries.  The result is
+    and answer from the existing memo entries.  An articulation's
+    conflict and rules cells see a taxonomy edit only in a source its
+    rules name.  An edited source's consistency re-derives only the
+    checks the delta can reach from its issues in [previous]
+    ({!Consistency.recheck}), when those are still memoized.  The result is
     bit-for-bit identical to [run ?enabled view] (the qcheck harness
     asserts it over random edit scripts); only the work differs.
     Records the [delta.ops] / [delta.passes_rerun] /

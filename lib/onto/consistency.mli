@@ -34,6 +34,26 @@ val check : ?strict:bool -> Ontology.t -> issue list
     expert attention), [class-and-instance] (a term used as both),
     [attribute-cycle], [undeclared-relationship] (strict only). *)
 
+val recheck :
+  ?strict:bool ->
+  before:Ontology.t ->
+  previous:issue list ->
+  delta:Delta.t ->
+  Ontology.t ->
+  issue list
+(** [recheck ~before ~previous ~delta o] is [check o], re-deriving only
+    what [delta] can change, when [previous] is [check before] (same
+    [strict]) and [delta] covers every change from [before]'s graph to
+    [o]'s (a {!Delta.union} of such deltas qualifies):
+    - a cycle check re-runs only when its label is in
+      {!Delta.edge_labels};
+    - category confusion is re-derived only for touched terms;
+    - [undeclared-relationship] only for the delta's labels.
+
+    Every other issue is carried over from [previous].  When the
+    relation registries are not physically the same value, it runs
+    {!check} whole. *)
+
 val is_consistent : Ontology.t -> bool
 (** No [Error]-severity issues. *)
 

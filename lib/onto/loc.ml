@@ -51,11 +51,18 @@ let find_word text needle =
   let nt = String.length text and nn = String.length needle in
   if nn = 0 then None
   else begin
+    (* Compared in place: a substring per offset would allocate once
+       per byte of the text. *)
+    let matches_at i =
+      let j = ref 0 in
+      while !j < nn && Char.equal text.[i + !j] needle.[!j] do incr j done;
+      !j = nn
+    in
     let found = ref None in
     let i = ref 0 in
     while !found = None && !i + nn <= nt do
       if
-        String.sub text !i nn = needle
+        matches_at !i
         && ((!i = 0 || not (is_word_char text.[!i - 1]))
            && (!i + nn >= nt || not (is_word_char text.[!i + nn])))
       then found := Some !i

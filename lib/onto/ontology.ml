@@ -142,10 +142,22 @@ let closure o =
      against pathological registries. *)
   update_graph o (fixpoint o.graph 16)
 
+(* Renaming term by term re-links every incident edge per rename; when
+   no term already carries the "name:" prefix no qualified name can
+   collide with a term, so the graph is rebuilt in one pass instead. *)
 let qualify o =
-  Digraph.fold_nodes
-    (fun n g -> Digraph.rename_node g n (o.name ^ ":" ^ n))
-    o.graph o.graph
+  let prefix = o.name ^ ":" in
+  let q n = prefix ^ n in
+  let clash =
+    Digraph.fold_nodes (fun n acc -> acc || String.starts_with ~prefix n) o.graph false
+  in
+  if clash || Digraph.is_empty o.graph then
+    Digraph.fold_nodes (fun n g -> Digraph.rename_node g n (q n)) o.graph o.graph
+  else
+    Digraph.fold_edges
+      (fun (e : Digraph.edge) g -> Digraph.add_edge g (q e.src) e.label (q e.dst))
+      o.graph
+      (Digraph.fold_nodes (fun n g -> Digraph.add_node g (q n)) o.graph Digraph.empty)
 
 let restrict o keep = update_graph o (Digraph.subgraph o.graph keep)
 

@@ -174,7 +174,15 @@ let tokenize src =
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       let word = String.sub src start (!i - start) in
+      (* Either side of a ':' is a name: [FROM a0:Order] qualifies a
+         concept called Order. *)
+      let qualifying =
+        (match !toks with Tcolon :: _ -> true | _ -> false)
+        || (!i < n && src.[!i] = ':')
+      in
       let tok =
+        if qualifying then Tident word
+        else
         match String.lowercase_ascii word with
         | "select" -> Kselect
         | "from" -> Kfrom

@@ -15,7 +15,13 @@
     Keywords are case-insensitive; attribute names and terms are
     case-sensitive.  Values: numbers, single-quoted strings, [true] /
     [false].  A query selects either plain attributes or aggregates, not
-    both (there is no GROUP BY). *)
+    both (there is no GROUP BY).
+
+    A word next to the [:] of a qualified term is always a name, so
+    [FROM a0:Order] names a concept called [Order].  Bare (unqualified)
+    concepts and attributes named like a keyword ([Order], [By],
+    [Limit], [Asc], [Desc], [Select], [From], [Where], [And], [True],
+    [False], in any case) remain reserved and do not parse. *)
 
 type comparison = Eq | Neq | Lt | Le | Gt | Ge
 

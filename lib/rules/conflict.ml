@@ -56,13 +56,20 @@ let rules_mentioning rules term =
       else None)
     rules
 
+(* Intersection of two sorted node lists, in order. *)
+let rec sorted_inter xs ys =
+  match (xs, ys) with
+  | x :: xs', y :: ys' ->
+      let c = String.compare x y in
+      if c = 0 then x :: sorted_inter xs' ys'
+      else if c < 0 then sorted_inter xs' ys
+      else sorted_inter xs ys'
+  | [], _ | _, [] -> []
+
 let check ?conversions ~ontologies rules =
   let conflicts = ref [] in
   let add c = conflicts := c :: !conflicts in
   let impl = implication_graph ~ontologies rules in
-  let reaches a b =
-    String.equal a b || Traversal.path_exists impl a b
-  in
 
   (* Disjointness violations. *)
   let disjoint_pairs =
@@ -82,20 +89,18 @@ let check ?conversions ~ontologies rules =
              (qa ^ " / " ^ qb)
              "an implication path connects terms declared disjoint"
              (rule_name :: (rules_mentioning rules a @ rules_mentioning rules b)));
-      (* Common implier: some term flows into both sides. *)
-      Digraph.iter_nodes
+      (* Common implier: some term flows into both sides, i.e. lies in
+         both sides' co-reachable sets — one reverse walk per side, not
+         two forward walks per node. *)
+      List.iter
         (fun n ->
-          if
-            (not (String.equal n qa))
-            && (not (String.equal n qb))
-            && reaches n qa && reaches n qb
-          then
+          if (not (String.equal n qa)) && not (String.equal n qb) then
             add
               (conflict Fatal "disjoint-overlap" n
                  (Printf.sprintf
                     "term implies both %s and %s, which are declared disjoint" qa qb)
                  [ rule_name ]))
-        impl)
+        (sorted_inter (Traversal.co_reachable impl qa) (Traversal.co_reachable impl qb)))
     disjoint_pairs;
 
   (* Self-implication. *)

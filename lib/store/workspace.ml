@@ -1552,7 +1552,9 @@ let incremental_lint ?enabled (ls : lint_state) (p : pending) =
       ls.ls_view.Lint.sources
   in
   let view = { ls.ls_view with Lint.sources } in
-  let report = Lint.lint_incremental ?enabled ~delta ~changed view in
+  let report =
+    Lint.lint_incremental ?enabled ~previous:ls.ls_view ~delta ~changed view
+  in
   let changed_files = List.filter_map (fun c -> c.ec_file) p.p_changes in
   let io =
     List.filter

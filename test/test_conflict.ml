@@ -130,6 +130,91 @@ let test_fatal_sorted_first () =
   | first :: _ -> Alcotest.(check string) "fatal first" "self-implication" first.Conflict.code
   | [] -> Alcotest.fail "expected conflicts"
 
+(* disjoint-overlap against its definition: every node of the
+   implication graph, other than the two sides, with a path to each
+   side, reported per Disjoint rule in node order. *)
+let naive_overlaps ~ontologies rules =
+  let impl =
+    List.fold_left
+      (fun g o ->
+        Digraph.fold_edges
+          (fun (e : Digraph.edge) g ->
+            if
+              String.equal e.label Rel.subclass_of
+              || String.equal e.label Rel.semantic_implication
+            then Digraph.add_edge g e.src "implies" e.dst
+            else g)
+          (Ontology.qualify o) g)
+      Digraph.empty ontologies
+  in
+  let impl =
+    List.fold_left
+      (fun g (r : Rule.t) ->
+        match r.Rule.body with
+        | Rule.Implication (Rule.Term l, Rule.Term r) ->
+            Digraph.add_edge g (Term.qualified l) "implies" (Term.qualified r)
+        | _ -> g)
+      impl rules
+  in
+  List.concat_map
+    (fun (r : Rule.t) ->
+      match r.Rule.body with
+      | Rule.Disjoint (a, b) ->
+          let qa = Term.qualified a and qb = Term.qualified b in
+          List.filter
+            (fun n ->
+              n <> qa && n <> qb
+              && Traversal.path_exists impl n qa
+              && Traversal.path_exists impl n qb)
+            (Digraph.nodes impl)
+          |> List.map (fun n -> (n, r.Rule.name))
+      | _ -> [])
+    rules
+
+let prop_overlap_matches_definition =
+  let nodes = [ "A"; "B"; "C"; "D"; "E"; "F" ] in
+  let gen =
+    let open QCheck.Gen in
+    let term = map2 t (oneofl [ "a"; "b" ]) (oneofl nodes) in
+    let edge =
+      map3
+        (fun s l d -> { Digraph.src = s; label = l; dst = d })
+        (oneofl nodes)
+        (oneofl [ Rel.subclass_of; Rel.semantic_implication; "x" ])
+        (oneofl nodes)
+    in
+    let onto name =
+      map
+        (fun es -> Ontology.with_graph (Ontology.create name) (Digraph.of_edges es))
+        (list_size (int_range 0 10) edge)
+    in
+    let rule =
+      oneof
+        [
+          map2 (fun a b -> Rule.implies a b) term term;
+          map2 (fun a b -> Rule.disjoint a b) term term;
+        ]
+    in
+    triple (onto "a") (onto "b") (list_size (int_range 1 6) rule)
+  in
+  QCheck.Test.make ~count:300 ~name:"disjoint-overlap = its definition"
+    (QCheck.make
+       ~print:(fun (_, _, rules) -> String.concat "; " (List.map Rule.to_string rules))
+       gen)
+    (fun (a, b, rules) ->
+      let ontologies = [ a; b ] in
+      let found =
+        Conflict.check ~ontologies rules
+        |> List.filter (fun c -> c.Conflict.code = "disjoint-overlap")
+        |> List.map (fun c -> (c.Conflict.subject, c.Conflict.rules_involved))
+      in
+      let expected =
+        naive_overlaps ~ontologies rules
+        |> List.map (fun (n, rule) -> (n, [ rule ]))
+        |> List.stable_sort (fun (x, _) (y, _) -> String.compare x y)
+      in
+      found = expected)
+
 let suite =
   [
     ( "conflict",
@@ -144,5 +229,6 @@ let suite =
         Alcotest.test_case "converter checks" `Quick test_unknown_converter_and_drift;
         Alcotest.test_case "unknown term" `Quick test_unknown_term;
         Alcotest.test_case "fatal first" `Quick test_fatal_sorted_first;
+        QCheck_alcotest.to_alcotest prop_overlap_matches_definition;
       ] );
   ]

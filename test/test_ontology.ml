@@ -145,6 +145,31 @@ let test_term_of () =
   Alcotest.check term "qualify one" (Term.make ~ontology:"veh" "Car")
     (Ontology.term_of (fixture ()) "Car")
 
+(* [qualify] against its definition, renaming term by term; "o:a" and
+   "o:o:b" name terms that collide with qualified forms. *)
+let prop_qualify_renames =
+  let nodes = [ "a"; "b"; "c"; "o:a"; "o:o:b"; "z" ] in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 3) (oneofl nodes))
+        (list_size (int_range 0 12)
+           (map3
+              (fun s l d -> { Digraph.src = s; label = l; dst = d })
+              (oneofl nodes) (oneofl [ "S"; "x" ]) (oneofl nodes))))
+  in
+  QCheck.Test.make ~count:300 ~name:"qualify = term-by-term renaming"
+    (QCheck.make gen) (fun (isolated, edges) ->
+      let o =
+        Ontology.with_graph (Ontology.create "o")
+          (Digraph.of_edges ~nodes:isolated edges)
+      in
+      let g = Ontology.graph o in
+      let reference =
+        Digraph.fold_nodes (fun n acc -> Digraph.rename_node acc n ("o:" ^ n)) g g
+      in
+      Digraph.equal (Ontology.qualify o) reference)
+
 let suite =
   [
     ( "ontology",
@@ -161,6 +186,7 @@ let suite =
         Alcotest.test_case "closure sym/inv/impl" `Quick test_closure_symmetric_inverse_implies;
         Alcotest.test_case "closure fixpoint" `Quick test_closure_interaction_fixpoint;
         Alcotest.test_case "qualify" `Quick test_qualify;
+        QCheck_alcotest.to_alcotest prop_qualify_renames;
         Alcotest.test_case "restrict" `Quick test_restrict;
         Alcotest.test_case "with_name" `Quick test_with_name;
         Alcotest.test_case "term_of" `Quick test_term_of;

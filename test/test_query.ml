@@ -82,6 +82,65 @@ let test_to_string_roundtrip () =
       "SELECT Price FROM Vehicle WHERE Owner = 'gio' AND Price >= 100";
     ]
 
+(* A qualified concept may carry a keyword's name: printing any query
+   over one and parsing the text gives the query back. *)
+let keyword_names =
+  [ "Order"; "By"; "Limit"; "Asc"; "Desc"; "Select"; "From"; "Where"; "And";
+    "True"; "False" ]
+
+let prop_keyword_concepts_roundtrip =
+  let open QCheck.Gen in
+  let concept =
+    map2
+      (fun o c -> Term.make ~ontology:o c)
+      (oneofl [ "a0"; "transport"; "Order" ])
+      (oneofl (keyword_names @ List.map String.lowercase_ascii keyword_names))
+  in
+  let attr = oneofl [ "Price"; "Weight"; "Capacity" ] in
+  let value =
+    oneof
+      [
+        map (fun i -> Conversion.Num (float_of_int i)) (int_range (-500) 50_000);
+        map (fun s -> Conversion.Str s) (oneofl [ "gio"; "x y"; "Order" ]);
+        map (fun b -> Conversion.Bool b) bool;
+      ]
+  in
+  let pred =
+    map3
+      (fun attr op value -> { Query.attr; op; value })
+      attr
+      (oneofl Query.[ Eq; Neq; Lt; Le; Gt; Ge ])
+      value
+  in
+  let items =
+    oneof
+      [
+        map (fun a -> (a, [])) (list_size (int_range 0 2) attr);
+        map
+          (fun g -> ([], g))
+          (list_size (int_range 1 2)
+             (oneofl Query.[ Count; Sum "Price"; Avg "Weight"; Max "Capacity" ]));
+      ]
+  in
+  let query =
+    concept >>= fun c ->
+    items >>= fun (select, aggregates) ->
+    list_size (int_range 0 2) pred >>= fun where ->
+    opt (pair attr (oneofl Query.[ Asc; Desc ])) >>= fun order_by ->
+    opt (int_range 0 100) >>= fun limit ->
+    return (Query.v ~select ~aggregates ~where ?order_by ?limit c)
+  in
+  QCheck.Test.make ~count:300 ~name:"keyword-named concepts round-trip"
+    (QCheck.make ~print:Query.to_string query)
+    (fun q -> Query.parse (Query.to_string q) = Ok q)
+
+let test_bare_keyword_reserved () =
+  check_bool "bare keyword concept" true
+    (Result.is_error (Query.parse "SELECT * FROM Order"));
+  check_bool "qualified keyword concept" true
+    (Query.parse "SELECT * FROM a0:Order"
+    = Ok (Query.v (Term.make ~ontology:"a0" "Order")))
+
 let suite =
   [
     ( "query",
@@ -95,5 +154,8 @@ let suite =
         Alcotest.test_case "errors" `Quick test_errors;
         Alcotest.test_case "holds" `Quick test_holds;
         Alcotest.test_case "roundtrip" `Quick test_to_string_roundtrip;
+        Alcotest.test_case "bare keywords stay reserved" `Quick
+          test_bare_keyword_reserved;
+        QCheck_alcotest.to_alcotest prop_keyword_concepts_roundtrip;
       ] );
   ]
